@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-server vet kmvet lint lint-report invariants fuzz-smoke obs-smoke benchdiff-smoke shard-smoke build-smoke cluster-smoke trace-smoke relative-smoke check bench bench-json bench-compare
+.PHONY: build test race race-server vet kmvet lint lint-report invariants fuzz-smoke obs-smoke benchdiff-smoke benchdiff-reject clean-clone shard-smoke build-smoke cluster-smoke trace-smoke relative-smoke check bench bench-json bench-compare
 
 build:
 	$(GO) build ./...
@@ -63,15 +63,29 @@ obs-smoke:
 
 # Regression-gate smoke test: kmbenchdiff must pass a clean diff and
 # fail both fabricated regressions — 20% ns/read and 24% peak RSS
-# (fixtures in cmd/kmbenchdiff/testdata).
+# (fixtures in cmd/kmbenchdiff/testdata). A rejection counts only when
+# the output names the regression: a missing fixture also exits
+# non-zero, and must not pass for a detected regression.
 benchdiff-smoke:
 	$(GO) run ./cmd/kmbenchdiff cmd/kmbenchdiff/testdata/old.json cmd/kmbenchdiff/testdata/new_ok.json
-	@if $(GO) run ./cmd/kmbenchdiff cmd/kmbenchdiff/testdata/old.json cmd/kmbenchdiff/testdata/new_regressed.json >/dev/null 2>&1; then \
-		echo "benchdiff-smoke: FAIL (regression fixture was not flagged)"; exit 1; \
-	else echo "benchdiff-smoke: regression fixture correctly rejected"; fi
-	@if $(GO) run ./cmd/kmbenchdiff cmd/kmbenchdiff/testdata/old.json cmd/kmbenchdiff/testdata/new_rss_regressed.json >/dev/null 2>&1; then \
-		echo "benchdiff-smoke: FAIL (RSS regression fixture was not flagged)"; exit 1; \
-	else echo "benchdiff-smoke: RSS regression fixture correctly rejected"; fi
+	@$(MAKE) --no-print-directory benchdiff-reject FIXTURE=new_regressed.json EXPECT='REGRESSION'
+	@$(MAKE) --no-print-directory benchdiff-reject FIXTURE=new_rss_regressed.json EXPECT='peak RSS:'
+
+benchdiff-reject:
+	@if out=$$($(GO) run ./cmd/kmbenchdiff cmd/kmbenchdiff/testdata/old.json cmd/kmbenchdiff/testdata/$(FIXTURE) 2>&1); then \
+		echo "$$out"; echo "benchdiff-smoke: FAIL ($(FIXTURE) was not flagged)"; exit 1; \
+	elif ! printf '%s\n' "$$out" | grep -q '$(EXPECT)'; then \
+		echo "$$out"; echo "benchdiff-smoke: FAIL ($(FIXTURE) rejected without a '$(EXPECT)' line)"; exit 1; \
+	else echo "benchdiff-smoke: $(FIXTURE) correctly rejected ($(EXPECT))"; fi
+
+# Tier-1 on exactly the committed tree: HEAD is exported with git
+# archive into a temporary directory and built and tested there, so a
+# file that the build or the tests need but .gitignore hides (or that
+# was never added) fails here instead of on a fresh checkout.
+clean-clone:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	git archive HEAD | tar -x -C "$$dir" && \
+	cd "$$dir" && $(GO) build ./... && $(GO) test ./...
 
 # Sharded-pipeline smoke test: kmgen builds a multi-shard index file,
 # kmsearch loads it transparently and must agree with a monolithic
@@ -110,7 +124,7 @@ trace-smoke:
 	$(GO) test -run='^TestTraceSmoke$$' -count=1 ./server/cluster/...
 
 # The one-stop pre-commit gate.
-check: lint race-server race invariants fuzz-smoke obs-smoke benchdiff-smoke shard-smoke build-smoke cluster-smoke trace-smoke relative-smoke
+check: lint clean-clone race-server race invariants fuzz-smoke obs-smoke benchdiff-smoke shard-smoke build-smoke cluster-smoke trace-smoke relative-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -54,7 +54,9 @@ type Fragment struct {
 // FragmentBuilder accumulates spans and marks for one process's
 // fragment. It is safe for concurrent use — the coordinator's subset
 // goroutines record into distinct TID lanes of one builder. The zero
-// value is not usable; construct with NewFragmentBuilder.
+// value is not usable; construct with NewFragmentBuilder. A nil builder
+// records nothing (Now is 0, Span and Mark do nothing), so code paths
+// shared by traced and untraced requests need no nil checks.
 type FragmentBuilder struct {
 	mu    sync.Mutex
 	frag  Fragment
@@ -72,11 +74,19 @@ func NewFragmentBuilder(process, requestID string) *FragmentBuilder {
 
 // Now returns the current offset from the builder's start, for callers
 // that want to bracket a phase themselves before calling Span.
-func (b *FragmentBuilder) Now() time.Duration { return time.Since(b.start) }
+func (b *FragmentBuilder) Now() time.Duration {
+	if b == nil {
+		return 0
+	}
+	return time.Since(b.start)
+}
 
 // Span records one completed phase on the given lane, from start to
 // end offsets (as returned by Now).
 func (b *FragmentBuilder) Span(tid int, name string, start, end time.Duration, args ...Arg) {
+	if b == nil {
+		return
+	}
 	s := Span{
 		Name:    name,
 		TID:     tid,
@@ -95,6 +105,9 @@ func (b *FragmentBuilder) Span(tid int, name string, start, end time.Duration, a
 // Mark records one instant event on the given lane at the current
 // offset.
 func (b *FragmentBuilder) Mark(tid int, name string, args ...Arg) {
+	if b == nil {
+		return
+	}
 	m := Mark{
 		Name:   name,
 		TID:    tid,

@@ -44,6 +44,17 @@ func TestFragmentBuilderSpansAndMarks(t *testing.T) {
 	}
 }
 
+// TestNilFragmentBuilderRecordsNothing pins the untraced path: the
+// servers call Now, Span and Mark on a nil builder without a guard.
+func TestNilFragmentBuilderRecordsNothing(t *testing.T) {
+	var b *FragmentBuilder
+	if b.Now() != 0 {
+		t.Errorf("nil builder Now = %v, want 0", b.Now())
+	}
+	b.Span(1, "plan", 0, b.Now(), Arg{Key: "reads", Val: 1})
+	b.Mark(1, "retry")
+}
+
 func TestFragmentBuilderConcurrent(t *testing.T) {
 	b := NewFragmentBuilder("w", "")
 	var wg sync.WaitGroup

@@ -36,12 +36,12 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"bwtmatch/internal/obs"
 	"bwtmatch/server/client"
+	"bwtmatch/server/internal/pipeline"
 )
 
 // Config tunes a Coordinator. Workers is required; everything else has
@@ -103,6 +103,7 @@ type Config struct {
 	Logger *slog.Logger
 }
 
+// applyDefaults fills the coordinator-only fields; pipeline.New defaults the limits.
 func (c *Config) applyDefaults() {
 	if c.WorkerTimeout <= 0 {
 		c.WorkerTimeout = 10 * time.Second
@@ -115,26 +116,11 @@ func (c *Config) applyDefaults() {
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 50 * time.Millisecond
 	}
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 16
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 30 * time.Second
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 4096
-	}
-	if c.MaxK <= 0 {
-		c.MaxK = 64
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 4096
@@ -158,6 +144,7 @@ type worker struct {
 type Coordinator struct {
 	cfg    Config
 	mux    *http.ServeMux
+	pipe   *pipeline.Pipeline // request ID, decode, validate, drain, slots
 	met    *Metrics
 	cache  *resultCache
 	flight *flightGroup
@@ -167,11 +154,8 @@ type Coordinator struct {
 	static      *RouteTable
 	routes      routeCache
 
-	sem      chan struct{} // MaxConcurrent slots
-	pressure atomic.Int64  // batches admitted: executing + queued
-	reqID    atomic.Int64
+	pressure atomic.Int64 // batches admitted: executing + queued
 	log      *slog.Logger
-	start    time.Time
 
 	// frec is the always-on flight recorder: every batch (including shed
 	// ones) leaves a fixed-size record behind, served on
@@ -181,15 +165,6 @@ type Coordinator struct {
 	frec      *obs.FlightRecorder
 	slo       *obs.SLO
 	lastTrace atomic.Value
-
-	mu       sync.Mutex
-	draining bool
-	inflight int // in-flight batches
-	// drained closes once draining is set and inflight reaches zero;
-	// Shutdown selects on it against its context, so no waiter
-	// goroutine is ever spawned (kmvet goroutinelifecycle).
-	drained       chan struct{}
-	drainedClosed bool
 }
 
 // New builds a Coordinator from cfg. It fails fast on an empty worker
@@ -208,16 +183,23 @@ func New(cfg Config) (*Coordinator, error) {
 		flight:      newFlightGroup(),
 		workerByURL: make(map[string]*worker, len(cfg.Workers)),
 		static:      cfg.Routes,
-		sem:         make(chan struct{}, cfg.MaxConcurrent),
 		log:         cfg.Logger,
-		start:       time.Now(),
-		drained:     make(chan struct{}),
 	}
 	if co.log == nil {
 		co.log = slog.New(slog.DiscardHandler)
 	}
 	co.frec = obs.NewFlightRecorder(64, 16, coordPhaseNames[:])
 	co.slo = obs.NewSLO(cfg.SLO, co.met.BatchLatency, obs.DefaultLatencyBounds())
+	co.pipe = pipeline.New(pipeline.Config{
+		Limits: pipeline.Limits{MaxBatch: cfg.MaxBatch, MaxK: cfg.MaxK, MaxConcurrent: cfg.MaxConcurrent,
+			DefaultTimeout: cfg.DefaultTimeout, MaxBodyBytes: cfg.MaxBodyBytes},
+		IDPrefix: "creq-",
+		Role:     "coordinator",
+		Rejected: &co.met.RejectedTotal,
+		Flight:   co.frec,
+		SLO:      co.slo,
+		Log:      co.log,
+	})
 	if cfg.CacheEntries > 0 {
 		co.cache = newResultCache(cfg.CacheEntries, cfg.CacheBytes)
 	}
@@ -245,8 +227,8 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	co.mux.HandleFunc("POST /v1/search", co.handleSearch)
 	co.mux.HandleFunc("GET /v1/indexes", co.handleListIndexes)
-	co.mux.HandleFunc("GET /healthz", co.handleHealth)
-	co.mux.HandleFunc("GET /readyz", co.handleReady)
+	co.mux.HandleFunc("GET /healthz", co.pipe.HandleHealth)
+	co.mux.HandleFunc("GET /readyz", co.pipe.HandleReady)
 	co.mux.HandleFunc("GET /metrics", co.handleMetrics)
 	co.mux.HandleFunc("GET /metrics.json", co.handleMetricsJSON)
 	// Always mounted, like the worker's: recording costs nothing per
@@ -281,50 +263,8 @@ func (co *Coordinator) Metrics() *Metrics { return co.met }
 // Shutdown stops accepting searches and waits for in-flight batches to
 // drain, or until ctx expires. It is idempotent.
 func (co *Coordinator) Shutdown(ctx context.Context) error {
-	co.mu.Lock()
-	co.draining = true
-	co.signalDrainedLocked()
-	co.mu.Unlock()
-	// The last end() closes drained, so shutdown needs no waiter
-	// goroutine — a ctx-aborted shutdown leaves nothing behind.
-	select {
-	case <-co.drained:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("cluster: shutdown: %w", ctx.Err())
+	if err := co.pipe.Drain(ctx); err != nil {
+		return fmt.Errorf("cluster: shutdown: %w", err)
 	}
-}
-
-// signalDrainedLocked closes the drained channel once draining has
-// begun and the last in-flight batch has finished. Caller holds co.mu.
-func (co *Coordinator) signalDrainedLocked() {
-	if co.draining && co.inflight == 0 && !co.drainedClosed {
-		co.drainedClosed = true
-		close(co.drained)
-	}
-}
-
-// begin registers one in-flight batch; it fails once draining has
-// started. The caller must invoke the returned func when done.
-func (co *Coordinator) begin() (func(), bool) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if co.draining {
-		return nil, false
-	}
-	co.inflight++
-	return co.end, true
-}
-
-// end retires one in-flight batch; the last one out during a drain
-// closes the drained channel Shutdown is selecting on.
-func (co *Coordinator) end() {
-	co.mu.Lock()
-	co.inflight--
-	co.signalDrainedLocked()
-	co.mu.Unlock()
-}
-
-func (co *Coordinator) nextRequestID() string {
-	return fmt.Sprintf("creq-%06d", co.reqID.Add(1))
+	return nil
 }

@@ -41,20 +41,15 @@ func (co *Coordinator) fanout(ctx context.Context, r route, reads []server.Read,
 		go func(i int, sub subset) {
 			defer wg.Done()
 			tid := i + 2
-			var s0 time.Duration
-			if fb != nil {
-				s0 = fb.Now()
-			}
+			s0 := fb.Now()
 			results, frags, err := co.searchSubset(ctx, r.index, sub, reads, k, method, timeoutMS, fb, tid)
-			if fb != nil {
-				ok := int64(1)
-				if err != nil {
-					ok = 0
-				}
-				fb.Span(tid, "subset", s0, fb.Now(),
-					obs.Arg{Key: "shards", Val: int64(len(sub.shards))},
-					obs.Arg{Key: "ok", Val: ok})
+			ok := int64(1)
+			if err != nil {
+				ok = 0
 			}
+			fb.Span(tid, "subset", s0, fb.Now(),
+				obs.Arg{Key: "shards", Val: int64(len(sub.shards))},
+				obs.Arg{Key: "ok", Val: ok})
 			out[i] = subsetResult{sub: sub, results: results, frags: frags, err: err}
 		}(i, sub)
 	}
@@ -83,9 +78,7 @@ func (co *Coordinator) searchSubset(ctx context.Context, index string, sub subse
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			co.met.RetriesTotal.Add(1)
-			if fb != nil {
-				fb.Mark(tid, "retry", obs.Arg{Key: "attempt", Val: int64(attempt)})
-			}
+			fb.Mark(tid, "retry", obs.Arg{Key: "attempt", Val: int64(attempt)})
 			d := co.cfg.RetryBackoff << (attempt - 1)
 			select {
 			case <-time.After(d + rand.N(d/2+1)):
@@ -95,16 +88,11 @@ func (co *Coordinator) searchSubset(ctx context.Context, index string, sub subse
 		}
 		wk := sub.chain[attempt%len(sub.chain)]
 		co.met.FanoutRPCs.Add(1)
-		var r0 time.Duration
-		if fb != nil {
-			r0 = fb.Now()
-		}
+		r0 := fb.Now()
 		resp, elapsed, err := co.searchWorker(ctx, wk, req)
-		if fb != nil {
-			fb.Span(tid, "rpc", r0, fb.Now(),
-				obs.Arg{Key: "attempt", Val: int64(attempt)},
-				obs.Arg{Key: "code", Val: int64(client.StatusCode(err))})
-		}
+		fb.Span(tid, "rpc", r0, fb.Now(),
+			obs.Arg{Key: "attempt", Val: int64(attempt)},
+			obs.Arg{Key: "code", Val: int64(client.StatusCode(err))})
 		if err == nil {
 			co.met.WorkerLatency.Observe(elapsed)
 			// The worker only returns fragments when this batch carried

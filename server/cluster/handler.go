@@ -2,18 +2,17 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
-	"bwtmatch"
 	"bwtmatch/internal/obs"
 	"bwtmatch/server"
+	"bwtmatch/server/internal/pipeline"
 )
 
 // readPlan records how one read of a batch will be answered: straight
@@ -29,62 +28,13 @@ type readPlan struct {
 	lidx   int // index into the leader sub-batch when leader
 }
 
-func (co *Coordinator) fail(w http.ResponseWriter, rid string, code int, format string, args ...any) {
-	co.met.RejectedTotal.Add(1)
-	msg := fmt.Sprintf(format, args...)
-	co.log.Warn("request rejected", "rid", rid, "code", code, "error", msg)
-	writeJSON(w, code, server.ErrorResponse{Error: msg, RequestID: rid})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-// decodeBody parses a size-capped JSON body, rejecting unknown fields
-// and trailing garbage (same contract as the worker's decoder).
-func decodeBody(r *http.Request, maxBytes int64, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return errors.New("trailing data after JSON body")
-	}
-	return nil
-}
-
-func (co *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
-	co.mu.Lock()
-	draining := co.draining
-	co.mu.Unlock()
-	if draining {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "role": "coordinator"})
-}
-
-func (co *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
-	co.mu.Lock()
-	draining := co.draining
-	co.mu.Unlock()
-	if draining {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready", "role": "coordinator"})
-}
-
 // handleListIndexes reports the coordinator's routing view as a
 // RouteTable document. With static routes that is the configured table;
 // with discovery it runs a discovery round first, so the listing
 // doubles as a fleet probe.
 func (co *Coordinator) handleListIndexes(w http.ResponseWriter, r *http.Request) {
 	if co.static != nil {
-		writeJSON(w, http.StatusOK, co.static)
+		pipeline.WriteJSON(w, http.StatusOK, co.static)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), co.cfg.WorkerTimeout)
@@ -102,7 +52,7 @@ func (co *Coordinator) handleListIndexes(w http.ResponseWriter, r *http.Request)
 		rt.Indexes[name] = RouteEntry{Shards: rte.shards, Workers: urls}
 	}
 	co.routes.mu.RUnlock()
-	writeJSON(w, http.StatusOK, rt)
+	pipeline.WriteJSON(w, http.StatusOK, rt)
 }
 
 func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -114,116 +64,59 @@ func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (co *Coordinator) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 	entries, bytes := co.cache.stats()
-	writeJSON(w, http.StatusOK, co.met.Snapshot(entries, bytes))
+	pipeline.WriteJSON(w, http.StatusOK, co.met.Snapshot(entries, bytes))
 }
 
+// handleSearch is the coordinator's run step: plan every read against
+// the cache and the in-flight flights, route, fan out, merge and
+// assemble. Accepting, admitting and refusing the batch is the shared
+// pipeline's work.
 func (co *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
-	arrive := time.Now()
-	// Adopt the caller's request ID or mint one, and echo it in the
-	// response header before anything can fail, so every outcome —
-	// success, rejection, shed — carries the correlation handle.
-	rid := r.Header.Get(server.HeaderRequestID)
-	if rid == "" {
-		rid = co.nextRequestID()
-	}
-	w.Header().Set(server.HeaderRequestID, rid)
-	traced := server.TraceHeaderSet(r.Header.Get(server.HeaderTrace)) || co.sampleTrace()
-
-	var req server.SearchRequest
-	if err := decodeBody(r, co.cfg.MaxBodyBytes, &req); err != nil {
-		co.fail(w, rid, http.StatusBadRequest, "bad request body: %v", err)
+	b, ok := co.pipe.Accept(w, r)
+	if !ok {
 		return
 	}
-	if len(req.Shards) > 0 {
+	rid := b.RID
+	if len(b.Shards) > 0 {
 		// Shard routing is the coordinator's job; accepting a client's
 		// subset would break the exactly-once merge.
-		co.fail(w, rid, http.StatusBadRequest, "shards cannot be set on a coordinator request")
-		return
-	}
-	method, err := server.ParseMethod(req.Method)
-	if err != nil {
-		co.fail(w, rid, http.StatusBadRequest, "%v", err)
+		co.pipe.Fail(w, rid, http.StatusBadRequest, "shards cannot be set on a coordinator request")
 		return
 	}
 	// The canonical wire token ("a"), not the display name: it keys the
 	// cache and goes back out to the workers.
-	methodName := server.MethodName(method)
-	reads := req.Reads
-	if req.Seq != "" {
-		if len(reads) > 0 {
-			co.fail(w, rid, http.StatusBadRequest, "set either seq or reads, not both")
-			return
-		}
-		reads = []server.Read{{Seq: req.Seq}}
-	}
-	if len(reads) == 0 {
-		co.fail(w, rid, http.StatusBadRequest, "no reads in request")
-		return
-	}
-	if len(reads) > co.cfg.MaxBatch {
-		co.fail(w, rid, http.StatusRequestEntityTooLarge,
-			"batch of %d exceeds limit %d", len(reads), co.cfg.MaxBatch)
-		return
-	}
-	if req.Index == "" {
-		co.fail(w, rid, http.StatusBadRequest, "index is required")
-		return
-	}
+	methodName := server.MethodName(b.Method)
 
 	// Admission control: pressure counts batches admitted past this
-	// point — executing plus queued on the sem. Beyond the queue cap the
+	// point — executing plus queued for a slot. Beyond the queue cap the
 	// batch is shed immediately with a backoff hint rather than left to
 	// time out in line.
-	if co.pressure.Add(1) > int64(co.cfg.MaxConcurrent+co.cfg.QueueDepth) {
+	if co.pressure.Add(1) > int64(co.pipe.Limits().MaxConcurrent+co.cfg.QueueDepth) {
 		co.pressure.Add(-1)
 		co.met.ShedTotal.Add(1)
-		secs := int(co.cfg.RetryAfter.Round(time.Second) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
+		secs := max(1, int(co.cfg.RetryAfter.Round(time.Second)/time.Second))
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		co.log.Warn("request shed", "rid", rid, "index", req.Index, "reads", len(reads))
-		writeJSON(w, http.StatusServiceUnavailable,
+		co.log.Warn("request shed", "rid", rid, "index", b.Index, "reads", len(b.Queries))
+		pipeline.WriteJSON(w, http.StatusServiceUnavailable,
 			server.ErrorResponse{Error: "coordinator overloaded; retry later", RequestID: rid})
-		co.recordShed(rid, req.Index, methodName, len(reads), arrive)
+		co.pipe.RecordShed(b)
 		return
 	}
 	defer co.pressure.Add(-1)
 
-	done, ok := co.begin()
+	ctx, done, ok := co.pipe.Admit(w, r, b)
 	if !ok {
-		co.fail(w, rid, http.StatusServiceUnavailable, "coordinator is draining")
-		co.recordShed(rid, req.Index, methodName, len(reads), arrive)
 		return
 	}
 	defer done()
-
-	timeout := co.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		if t := time.Duration(req.TimeoutMS) * time.Millisecond; t < timeout {
-			timeout = t
-		}
-	}
 	// A traced batch carries the flag on the context so the client layer
 	// sets X-Km-Trace on every worker RPC and the workers return their
 	// span fragments.
-	baseCtx := obs.WithRequestID(r.Context(), rid)
 	var fb *obs.FragmentBuilder
-	if traced {
+	if server.TraceHeaderSet(r.Header.Get(server.HeaderTrace)) || co.sampleTrace() {
 		fb = obs.NewFragmentBuilder("coordinator", rid)
-		baseCtx = obs.WithTraceRequest(baseCtx)
+		ctx = obs.WithTraceRequest(ctx)
 	}
-	ctx, cancel := context.WithTimeout(baseCtx, timeout)
-	defer cancel()
-
-	select {
-	case co.sem <- struct{}{}:
-	case <-ctx.Done():
-		co.fail(w, rid, http.StatusServiceUnavailable, "timed out waiting for a batch slot")
-		co.recordShed(rid, req.Index, methodName, len(reads), arrive)
-		return
-	}
-	defer func() { <-co.sem }()
 
 	co.met.InFlight.Add(1)
 	defer co.met.InFlight.Add(-1)
@@ -241,33 +134,18 @@ func (co *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	var cacheHits, coalesced int
 
-	// Plan every read: sanitize the pattern (the key must match what
-	// workers will actually search), then cache → singleflight. The
-	// first occurrence of a key becomes the flight's leader; duplicates
-	// in the same batch and concurrent batches become followers.
-	plans := make([]readPlan, len(reads))
+	// Plan every read: cache → singleflight, keyed on the sanitized
+	// pattern the workers will actually search. The first occurrence of
+	// a key becomes the flight's leader; duplicates in the same batch
+	// and concurrent batches become followers.
+	plans := make([]readPlan, len(b.Queries))
 	var leaderReads []server.Read
 	var leaderPlans []*readPlan
-	var planO time.Duration
-	if fb != nil {
-		planO = fb.Now()
-	}
-	for i, rd := range reads {
-		k := req.K
-		if rd.K != nil {
-			k = *rd.K
-		}
-		if k < 0 || k > co.cfg.MaxK {
-			co.fail(w, rid, http.StatusBadRequest, "read %d: k=%d outside [0,%d]", i, k, co.cfg.MaxK)
-			// Leaders already registered must complete or followers in
-			// other batches would hang.
-			co.abandonLeaders(leaderPlans, "batch rejected")
-			return
-		}
-		clean, _ := bwtmatch.Sanitize([]byte(rd.Seq))
-		key := cacheKey(req.Index, methodName, k, clean)
+	planO := fb.Now()
+	for i, q := range b.Queries {
+		key := cacheKey(b.Index, methodName, q.K, q.Pattern)
 		p := &plans[i]
-		p.id = rd.ID
+		p.id = q.ID
 		p.key = key
 		if m, ok := co.cache.get(key); ok {
 			co.met.CacheHits.Add(1)
@@ -280,8 +158,7 @@ func (co *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 		p.call, p.leader = c, leader
 		if leader {
 			p.lidx = len(leaderReads)
-			kk := k
-			leaderReads = append(leaderReads, server.Read{Seq: string(clean), K: &kk})
+			leaderReads = append(leaderReads, server.Read{Seq: string(q.Pattern), K: &b.Queries[i].K})
 			leaderPlans = append(leaderPlans, p)
 		} else {
 			co.met.InflightDedup.Add(1)
@@ -289,52 +166,45 @@ func (co *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	lap(phasePlan)
-	if fb != nil {
-		fb.Span(1, "plan", planO, fb.Now(),
-			obs.Arg{Key: "reads", Val: int64(len(reads))},
-			obs.Arg{Key: "leaders", Val: int64(len(leaderReads))},
-			obs.Arg{Key: "cache_hits", Val: int64(cacheHits)},
-			obs.Arg{Key: "coalesced", Val: int64(coalesced)})
-	}
+	fb.Span(1, "plan", planO, fb.Now(),
+		obs.Arg{Key: "reads", Val: int64(len(b.Queries))},
+		obs.Arg{Key: "leaders", Val: int64(len(leaderReads))},
+		obs.Arg{Key: "cache_hits", Val: int64(cacheHits)},
+		obs.Arg{Key: "coalesced", Val: int64(coalesced)})
 
 	// The leaders' sub-batch fans out once for all of them.
 	var failedShards []int
 	var workerFrags []obs.Fragment
 	partial := false
 	if len(leaderReads) > 0 {
-		var routeO time.Duration
-		if fb != nil {
-			routeO = fb.Now()
-		}
-		rt, err := co.resolve(ctx, req.Index)
+		routeO := fb.Now()
+		rt, err := co.resolve(ctx, b.Index)
 		lap(phaseRoute)
 		if err != nil {
-			co.abandonLeaders(leaderPlans, err.Error())
+			// Complete every leader so followers waiting on them in
+			// other batches wake instead of hanging.
+			for _, p := range leaderPlans {
+				co.flight.complete(p.key, p.call, nil, err.Error(), false, nil)
+			}
 			code := http.StatusBadGateway
 			if errors.Is(err, ErrNoRoute) {
 				code = http.StatusNotFound
 			}
-			co.fail(w, rid, code, "%v", err)
+			co.pipe.Fail(w, rid, code, "%v", err)
 			return
 		}
-		var fanO time.Duration
-		if fb != nil {
-			fb.Span(1, "route", routeO, fb.Now())
-			fanO = fb.Now()
-		}
-		outs := co.fanout(ctx, rt, leaderReads, req.K, methodName, req.TimeoutMS, fb)
+		fb.Span(1, "route", routeO, fb.Now())
+		fanO := fb.Now()
+		outs := co.fanout(ctx, rt, leaderReads, b.K, methodName, b.TimeoutMS, fb)
 		lap(phaseFanout)
-		if fb != nil {
-			fb.Span(1, "fanout", fanO, fb.Now(),
-				obs.Arg{Key: "subsets", Val: int64(len(outs))},
-				obs.Arg{Key: "reads", Val: int64(len(leaderReads))})
-		}
-		var mergeO time.Duration
-		if fb != nil {
-			mergeO = fb.Now()
-		}
+		fb.Span(1, "fanout", fanO, fb.Now(),
+			obs.Arg{Key: "subsets", Val: int64(len(outs))},
+			obs.Arg{Key: "reads", Val: int64(len(leaderReads))})
+		mergeO := fb.Now()
 		results, failed, part := merge(len(leaderReads), outs)
-		failedShards, partial = failed, part
+		// A copy: failed is shared with this batch's followers, and the
+		// assembly below appends to and sorts this batch's list.
+		failedShards, partial = slices.Clone(failed), part
 		for _, o := range outs {
 			workerFrags = append(workerFrags, o.frags...)
 		}
@@ -346,27 +216,18 @@ func (co *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		lap(phaseMerge)
-		if fb != nil {
-			fb.Span(1, "merge", mergeO, fb.Now())
-		}
+		fb.Span(1, "merge", mergeO, fb.Now())
 	}
 
 	// Assemble: cache hits and leaders are already settled; followers
 	// wait for their flight's leader (possibly in another batch).
-	var asmO time.Duration
-	if fb != nil {
-		asmO = fb.Now()
-	}
+	asmO := fb.Now()
 	resp := server.SearchResponse{
-		Index:  req.Index,
-		Method: method.String(), // display name, like the worker tier
+		Index:  b.Index,
+		Method: b.Method.String(), // display name, like the worker tier
 
-		Reads:   len(reads),
-		Results: make([]server.ReadResult, len(reads)),
-	}
-	seenFailed := make(map[int]bool, len(failedShards))
-	for _, s := range failedShards {
-		seenFailed[s] = true
+		Reads:   len(b.Queries),
+		Results: make([]server.ReadResult, len(b.Queries)),
 	}
 	for i := range plans {
 		p := &plans[i]
@@ -382,12 +243,7 @@ func (co *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 				rr.Matches, rr.Error = p.call.matches, p.call.errMsg
 				if p.call.partial {
 					partial = true
-					for _, s := range p.call.failed {
-						if !seenFailed[s] {
-							seenFailed[s] = true
-							failedShards = append(failedShards, s)
-						}
-					}
+					failedShards = append(failedShards, p.call.failed...)
 				}
 			case <-ctx.Done():
 				rr.Error = fmt.Sprintf("waiting for coalesced result: %v", ctx.Err())
@@ -404,15 +260,16 @@ func (co *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	if partial {
 		resp.Partial = true
-		resp.FailedShards = sortedInts(failedShards)
+		slices.Sort(failedShards)
+		resp.FailedShards = slices.Compact(failedShards)
 		co.met.PartialTotal.Add(1)
 	}
 	lap(phaseAssemble)
 	elapsed := time.Since(start)
 	resp.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
 	resp.RequestID = rid
+	fb.Span(1, "assemble", asmO, fb.Now())
 	if fb != nil {
-		fb.Span(1, "assemble", asmO, fb.Now())
 		// Coordinator fragment first, then one fragment per answering
 		// worker: WriteChromeTraceMulti turns each into its own process
 		// lane, so the stored slice is the whole cross-process timeline.
@@ -422,18 +279,18 @@ func (co *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 		co.met.TracesTotal.Add(1)
 	}
 	co.met.BatchesTotal.Add(1)
-	co.met.ReadsTotal.Add(int64(len(reads)))
+	co.met.ReadsTotal.Add(int64(len(b.Queries)))
 	co.met.MatchesTotal.Add(int64(resp.Matches))
 	co.met.ErrorsTotal.Add(int64(resp.Errors))
 	co.met.BatchLatency.Observe(elapsed)
 	co.slo.Observe(elapsed, true)
 	rec := obs.QueryRecord{
-		Start:     arrive,
+		Start:     b.Arrive,
 		RID:       rid,
-		Index:     req.Index,
+		Index:     b.Index,
 		Method:    methodName,
 		ElapsedNS: int64(elapsed),
-		Reads:     int32(len(reads)),
+		Reads:     int32(len(b.Queries)),
 		Matches:   int32(resp.Matches),
 		Errors:    int32(resp.Errors),
 		CacheHits: int32(cacheHits),
@@ -451,39 +308,20 @@ func (co *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 		// error and the flight-recorder record.
 		co.log.Warn("partial batch",
 			"rid", rid,
-			"index", req.Index,
+			"index", b.Index,
 			"failed_shards", fmt.Sprint(resp.FailedShards))
 	}
 	co.log.Info("cluster search",
 		"rid", rid,
-		"index", req.Index,
+		"index", b.Index,
 		"method", methodName,
-		"reads", len(reads),
+		"reads", len(b.Queries),
 		"fanned_out", len(leaderReads),
 		"matches", resp.Matches,
 		"errors", resp.Errors,
 		"partial", resp.Partial,
 		"elapsed_ms", resp.ElapsedMS)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// recordShed leaves a flight-recorder record (and an SLO unavailability
-// observation) behind for a batch refused by admission control, a
-// drain, or a queue timeout — refusals are exactly what the recorder
-// exists to explain after the fact.
-func (co *Coordinator) recordShed(rid, index, method string, reads int, arrive time.Time) {
-	elapsed := time.Since(arrive)
-	rec := obs.QueryRecord{
-		Start:     arrive,
-		RID:       rid,
-		Index:     index,
-		Method:    method,
-		ElapsedNS: int64(elapsed),
-		Reads:     int32(reads),
-		Shed:      true,
-	}
-	co.frec.Record(&rec)
-	co.slo.Observe(elapsed, false)
+	pipeline.WriteJSON(w, http.StatusOK, resp)
 }
 
 // sampleTrace decides whether an untagged batch gets traced anyway,
@@ -499,27 +337,10 @@ func (co *Coordinator) sampleTrace() bool {
 func (co *Coordinator) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	frags, _ := co.lastTrace.Load().([]obs.Fragment)
 	if len(frags) == 0 {
-		writeJSON(w, http.StatusNotFound,
+		pipeline.WriteJSON(w, http.StatusNotFound,
 			server.ErrorResponse{Error: "no sampled trace captured yet"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	obs.WriteChromeTraceMulti(w, frags)
-}
-
-// abandonLeaders completes every registered leader call with an error
-// so cross-batch followers waiting on them wake instead of hanging.
-func (co *Coordinator) abandonLeaders(leaders []*readPlan, msg string) {
-	for _, p := range leaders {
-		co.flight.complete(p.key, p.call, nil, msg, false, nil)
-	}
-}
-
-func sortedInts(s []int) []int {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	return s
 }

@@ -77,9 +77,9 @@ func TestCoordinatorRequestIDEchoedOnShed(t *testing.T) {
 
 	// Draining: batches are refused but the refusal still carries the rid
 	// and leaves a shed record in the flight recorder.
-	f.co.mu.Lock()
-	f.co.draining = true
-	f.co.mu.Unlock()
+	if err := f.co.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	resp, body := postJSON(t, f.base+"/v1/search", `{"index":"g","seq":"acgt"}`,
 		map[string]string{server.HeaderRequestID: "shed-rid-5"})
 	if resp.StatusCode != http.StatusServiceUnavailable {

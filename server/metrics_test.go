@@ -78,8 +78,8 @@ func TestMethodNameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParseMethod(%q): %v", name, err)
 		}
-		if got := methodNameFor(int(m)); got != name {
-			t.Errorf("methodNameFor(%v) = %q, want %q", m, got, name)
+		if got := MethodName(m); got != name {
+			t.Errorf("MethodName(%v) = %q, want %q", m, got, name)
 		}
 	}
 	if _, err := ParseMethod("quantum"); err == nil {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,13 +10,13 @@ import (
 	"net/http/pprof"
 	"os"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"bwtmatch"
 	"bwtmatch/internal/obs"
 	"bwtmatch/internal/seqio"
+	"bwtmatch/server/internal/pipeline"
 )
 
 // Config tunes a Server. The zero value is usable; see the field
@@ -66,24 +65,10 @@ type Config struct {
 	WarmIndexes bool
 }
 
+// applyDefaults fills the worker-only fields; pipeline.New defaults the limits.
 func (c *Config) applyDefaults() {
 	if c.Workers <= 0 {
 		c.Workers = 4
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 4096
-	}
-	if c.MaxK <= 0 {
-		c.MaxK = 64
-	}
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 16
-	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 30 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
 	}
 	if c.BuildWorkers <= 0 {
 		c.BuildWorkers = 1
@@ -98,21 +83,11 @@ type Server struct {
 	reg    *Registry
 	met    *Metrics
 	mux    *http.ServeMux
-	sem    chan struct{} // MaxConcurrent slots
+	pipe   *pipeline.Pipeline // request ID, decode, validate, drain, slots
 	log    *slog.Logger
 	start  time.Time
-	reqID  atomic.Int64 // request ID sequence
 	flight *obs.FlightRecorder
 	slo    *obs.SLO
-
-	mu       sync.Mutex
-	draining bool
-	inflight int // in-flight search batches
-	// drained closes once draining is set and inflight reaches zero;
-	// Shutdown selects on it against its context, so no waiter
-	// goroutine is ever spawned (kmvet goroutinelifecycle).
-	drained       chan struct{}
-	drainedClosed bool
 
 	// warming counts in-flight background shard warm-ups; /readyz
 	// reports 503 while it is nonzero. warmCtx bounds those warm-ups:
@@ -131,21 +106,29 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg.applyDefaults()
 	s := &Server{
-		cfg:     cfg,
-		reg:     NewRegistry(cfg.Budget),
-		met:     NewMetrics(),
-		mux:     http.NewServeMux(),
-		sem:     make(chan struct{}, cfg.MaxConcurrent),
-		log:     cfg.Logger,
-		start:   time.Now(),
-		drained: make(chan struct{}),
-		flight:  obs.NewFlightRecorder(64, 16, []string{"queue", "search"}),
+		cfg:    cfg,
+		reg:    NewRegistry(cfg.Budget),
+		met:    NewMetrics(),
+		mux:    http.NewServeMux(),
+		log:    cfg.Logger,
+		start:  time.Now(),
+		flight: obs.NewFlightRecorder(64, 16, []string{"queue", "search"}),
 	}
 	s.slo = obs.NewSLO(cfg.SLO, s.met.LatencySource(), obs.DefaultLatencyBounds())
 	s.warmCtx, s.warmCancel = context.WithCancel(context.Background())
 	if s.log == nil {
 		s.log = slog.New(slog.DiscardHandler)
 	}
+	s.pipe = pipeline.New(pipeline.Config{
+		Limits: pipeline.Limits{MaxBatch: cfg.MaxBatch, MaxK: cfg.MaxK, MaxConcurrent: cfg.MaxConcurrent,
+			DefaultTimeout: cfg.DefaultTimeout, MaxBodyBytes: cfg.MaxBodyBytes},
+		IDPrefix: "req-",
+		Warming:  func() bool { return s.warming.Load() > 0 },
+		Rejected: &s.met.RejectedTotal,
+		Flight:   s.flight,
+		SLO:      s.slo,
+		Log:      s.log,
+	})
 	s.reg.onEvict = func(name string) {
 		s.met.IndexesEvicted.Add(1)
 		s.log.Info("index evicted", "index", name)
@@ -154,8 +137,8 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/indexes", s.handleListIndexes)
 	s.mux.HandleFunc("POST /v1/indexes", s.handleRegisterIndex)
 	s.mux.HandleFunc("DELETE /v1/indexes/{name}", s.handleRemoveIndex)
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /readyz", s.handleReady)
+	s.mux.HandleFunc("GET /healthz", s.pipe.HandleHealth)
+	s.mux.HandleFunc("GET /readyz", s.pipe.HandleReady)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /metrics.json", s.met.ServeJSON)
 	// The flight recorder is always on (recording is allocation-free),
@@ -178,7 +161,7 @@ func New(cfg Config) *Server {
 func (s *Server) handleDebugStats(w http.ResponseWriter, r *http.Request) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	writeJSON(w, http.StatusOK, map[string]any{
+	pipeline.WriteJSON(w, http.StatusOK, map[string]any{
 		"uptime_seconds":  time.Since(s.start).Seconds(),
 		"goroutines":      runtime.NumGoroutine(),
 		"gomaxprocs":      runtime.GOMAXPROCS(0),
@@ -269,10 +252,7 @@ func (s *Server) maybeWarm(name string, idx bwtmatch.Matcher) {
 // Ready reports whether the server is accepting and fully warmed (the
 // /readyz condition).
 func (s *Server) Ready() bool {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	return !draining && s.warming.Load() == 0
+	return !s.pipe.Draining() && s.warming.Load() == 0
 }
 
 // RegisterGenome reads a FASTA/FASTQ genome file, builds an index over
@@ -328,135 +308,15 @@ func (s *Server) RegisterIndex(name string, idx bwtmatch.Matcher) error {
 // drain, or until ctx expires. It is idempotent. Callers running an
 // http.Server should call its Shutdown as well to close listeners.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining = true
-	s.signalDrainedLocked()
-	s.mu.Unlock()
 	s.warmCancel() // stop background warm-ups; nobody will search them
-	// The last endSearch closes drained, so shutdown needs no waiter
-	// goroutine — a ctx-aborted shutdown leaves nothing behind.
-	select {
-	case <-s.drained:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("server: shutdown: %w", ctx.Err())
+	if err := s.pipe.Drain(ctx); err != nil {
+		return fmt.Errorf("server: shutdown: %w", err)
 	}
-}
-
-// signalDrainedLocked closes the drained channel once draining has
-// begun and the last in-flight batch has finished. Caller holds s.mu.
-func (s *Server) signalDrainedLocked() {
-	if s.draining && s.inflight == 0 && !s.drainedClosed {
-		s.drainedClosed = true
-		close(s.drained)
-	}
-}
-
-// beginSearch registers one in-flight batch; it fails once draining has
-// started. The caller must invoke the returned func when done.
-func (s *Server) beginSearch() (func(), bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return nil, false
-	}
-	s.inflight++
-	return s.endSearch, true
-}
-
-// endSearch retires one in-flight batch; the last one out during a
-// drain closes the drained channel Shutdown is selecting on.
-func (s *Server) endSearch() {
-	s.mu.Lock()
-	s.inflight--
-	s.signalDrainedLocked()
-	s.mu.Unlock()
-}
-
-func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...any) {
-	s.failr(w, "", code, format, args...)
-}
-
-// failr is fail with the request ID echoed in the error body, for
-// endpoints that have one (the search path always does; its response
-// header is set before any failure can occur).
-func (s *Server) failr(w http.ResponseWriter, rid string, code int, format string, args ...any) {
-	s.met.RejectedTotal.Add(1)
-	msg := fmt.Sprintf(format, args...)
-	if rid != "" {
-		s.log.Warn("request rejected", "rid", rid, "code", code, "error", msg)
-	} else {
-		s.log.Warn("request rejected", "code", code, "error", msg)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(ErrorResponse{Error: msg, RequestID: rid})
-}
-
-// recordShed notes a refused search batch in the flight recorder and
-// the SLO ring: load shedding is an availability event, and the shed
-// records make "what was I refusing and when" answerable after the
-// fact from /debug/flightrecorder alone.
-func (s *Server) recordShed(rid, index string, reads int, arrive time.Time) {
-	rec := obs.QueryRecord{
-		Start:     arrive,
-		RID:       rid,
-		Index:     index,
-		ElapsedNS: int64(time.Since(arrive)),
-		Reads:     int32(reads),
-		Shed:      true,
-	}
-	s.flight.Record(&rec)
-	s.slo.Observe(time.Since(arrive), false)
-}
-
-// nextRequestID issues a per-server-unique request ID. It is stamped on
-// the batch context (obs.WithRequestID) before MapAllContext fans out,
-// so anything below the search — and the batch's own log line — can be
-// correlated.
-func (s *Server) nextRequestID() string {
-	return fmt.Sprintf("req-%06d", s.reqID.Add(1))
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleReady is the readiness probe, split from /healthz liveness: a
-// fleet scheduler keeps a worker out of rotation while it drains or
-// while registered sharded indexes are still materializing in the
-// background (Config.WarmIndexes), but the process itself is alive
-// throughout. Retry-After hints when to re-probe.
-func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	switch {
-	case draining:
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-	case s.warming.Load() > 0:
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "warming"})
-	default:
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-	}
+	return nil
 }
 
 func (s *Server) handleListIndexes(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, IndexListResponse{
+	pipeline.WriteJSON(w, http.StatusOK, IndexListResponse{
 		Indexes:       s.reg.List(),
 		BudgetBytes:   s.reg.Budget(),
 		ResidentBytes: s.reg.Resident(),
@@ -465,113 +325,71 @@ func (s *Server) handleListIndexes(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRegisterIndex(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := decodeBody(r, s.cfg.MaxBodyBytes, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+	if code, err := s.pipe.DecodeBody(w, r, &req); err != nil {
+		s.pipe.Fail(w, "", code, "bad request body: %v", err)
 		return
 	}
 	if req.Name == "" || req.Path == "" {
-		s.fail(w, http.StatusBadRequest, "name and path are required")
+		s.pipe.Fail(w, "", http.StatusBadRequest, "name and path are required")
 		return
 	}
 	if err := s.Register(req.Name, req.Path); err != nil {
 		switch {
 		case errors.Is(err, ErrExists):
-			s.fail(w, http.StatusConflict, "%v", err)
+			s.pipe.Fail(w, "", http.StatusConflict, "%v", err)
 		case errors.Is(err, bwtmatch.ErrFormat):
-			s.fail(w, http.StatusUnprocessableEntity, "%v", err)
+			s.pipe.Fail(w, "", http.StatusUnprocessableEntity, "%v", err)
 		default:
-			s.fail(w, http.StatusBadRequest, "loading %q: %v", req.Path, err)
+			s.pipe.Fail(w, "", http.StatusBadRequest, "loading %q: %v", req.Path, err)
 		}
 		return
 	}
 	for _, info := range s.reg.List() {
 		if info.Name == req.Name {
-			writeJSON(w, http.StatusCreated, info)
+			pipeline.WriteJSON(w, http.StatusCreated, info)
 			return
 		}
 	}
 	// Unreachable unless the index was concurrently evicted; report it.
-	s.fail(w, http.StatusInternalServerError, "index %q evicted immediately after load", req.Name)
+	s.pipe.Fail(w, "", http.StatusInternalServerError, "index %q evicted immediately after load", req.Name)
 }
 
 func (s *Server) handleRemoveIndex(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !s.reg.Remove(name) {
-		s.fail(w, http.StatusNotFound, "index %q not registered", name)
+		s.pipe.Fail(w, "", http.StatusNotFound, "index %q not registered", name)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"removed": name})
+	pipeline.WriteJSON(w, http.StatusOK, map[string]string{"removed": name})
 }
 
+// handleSearch is the worker's run step: look the index up, check a
+// requested shard subset, and map the batch over it. Everything before
+// and around it is the shared pipeline.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	arrive := time.Now()
-	// Adopt the caller's request ID (a coordinator forwards its own) or
-	// mint one; echo it as a header on every outcome, success or not.
-	rid := r.Header.Get(HeaderRequestID)
-	if rid == "" {
-		rid = s.nextRequestID()
-	}
-	w.Header().Set(HeaderRequestID, rid)
-	var req SearchRequest
-	if err := decodeBody(r, s.cfg.MaxBodyBytes, &req); err != nil {
-		s.failr(w, rid, http.StatusBadRequest, "bad request body: %v", err)
+	b, ok := s.pipe.Accept(w, r)
+	if !ok {
 		return
 	}
-	method, err := ParseMethod(req.Method)
+	idx, err := s.reg.Get(b.Index)
 	if err != nil {
-		s.failr(w, rid, http.StatusBadRequest, "%v", err)
-		return
-	}
-	reads := req.Reads
-	if req.Seq != "" {
-		if len(reads) > 0 {
-			s.failr(w, rid, http.StatusBadRequest, "set either seq or reads, not both")
-			return
-		}
-		reads = []Read{{Seq: req.Seq}}
-	}
-	if len(reads) == 0 {
-		s.failr(w, rid, http.StatusBadRequest, "no reads in request")
-		return
-	}
-	if len(reads) > s.cfg.MaxBatch {
-		s.failr(w, rid, http.StatusRequestEntityTooLarge,
-			"batch of %d exceeds limit %d", len(reads), s.cfg.MaxBatch)
-		return
-	}
-	queries := make([]bwtmatch.Query, len(reads))
-	for i, rd := range reads {
-		k := req.K
-		if rd.K != nil {
-			k = *rd.K
-		}
-		if k < 0 || k > s.cfg.MaxK {
-			s.failr(w, rid, http.StatusBadRequest,
-				"read %d: k=%d outside [0,%d]", i, k, s.cfg.MaxK)
-			return
-		}
-		clean, _ := bwtmatch.Sanitize([]byte(rd.Seq))
-		queries[i] = bwtmatch.Query{ID: rd.ID, Pattern: clean, K: k}
-	}
-	idx, err := s.reg.Get(req.Index)
-	if err != nil {
-		s.failr(w, rid, http.StatusNotFound, "%v", err)
+		s.pipe.Fail(w, b.RID, http.StatusNotFound, "%v", err)
 		return
 	}
 	var sharded *bwtmatch.ShardedIndex
-	if len(req.Shards) > 0 {
+	if len(b.Shards) > 0 {
 		sx, ok := idx.(*bwtmatch.ShardedIndex)
 		if !ok {
-			s.failr(w, rid, http.StatusBadRequest,
-				"index %q is monolithic; shards cannot be restricted", req.Index)
+			s.pipe.Fail(w, b.RID, http.StatusBadRequest,
+				"index %q is monolithic; shards cannot be restricted", b.Index)
 			return
 		}
 		prev := -1
-		for _, sh := range req.Shards {
+		for _, sh := range b.Shards {
 			if sh < 0 || sh >= sx.Shards() || sh <= prev {
-				s.failr(w, rid, http.StatusBadRequest,
+				s.pipe.Fail(w, b.RID, http.StatusBadRequest,
 					"bad shard set %v for index %q (%d shards; ordinals must be strictly increasing)",
-					req.Shards, req.Index, sx.Shards())
+					b.Shards, b.Index, sx.Shards())
 				return
 			}
 			prev = sh
@@ -579,81 +397,46 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		sharded = sx
 	}
 
-	done, ok := s.beginSearch()
+	// A sampled request (X-Km-Trace, set by kmload -trace or a sampling
+	// coordinator) gets a span fragment recorded alongside the normal
+	// bookkeeping; an untraced request's nil builder records nothing.
+	var fb *obs.FragmentBuilder
+	if TraceHeaderSet(r.Header.Get(HeaderTrace)) {
+		fb = obs.NewFragmentBuilder("kmserved", b.RID)
+	}
+	ctx, done, ok := s.pipe.Admit(w, r, b)
 	if !ok {
-		s.recordShed(rid, req.Index, len(reads), arrive)
-		s.failr(w, rid, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 	defer done()
 	if s.testHookSearchStart != nil {
 		s.testHookSearchStart()
 	}
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		if t := time.Duration(req.TimeoutMS) * time.Millisecond; t < timeout {
-			timeout = t
-		}
-	}
-	ctx, cancel := context.WithTimeout(obs.WithRequestID(r.Context(), rid), timeout)
-	defer cancel()
-
-	// A sampled request (X-Km-Trace, set by kmload -trace or a sampling
-	// coordinator) gets a span fragment recorded alongside the normal
-	// bookkeeping; untraced requests never touch a FragmentBuilder.
-	var fb *obs.FragmentBuilder
-	if TraceHeaderSet(r.Header.Get(HeaderTrace)) {
-		fb = obs.NewFragmentBuilder("kmserved", rid)
+	if fb != nil {
 		ctx = obs.WithTraceRequest(ctx)
 	}
-
-	// Queue for a concurrency slot; a timeout while queued is billed to
-	// the request, not the server. A free slot is taken unconditionally so
-	// an already-expired deadline still surfaces as per-read errors rather
-	// than racing the two select branches.
-	queueStart := time.Now()
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		select {
-		case s.sem <- struct{}{}:
-		case <-ctx.Done():
-			s.recordShed(rid, req.Index, len(reads), arrive)
-			s.failr(w, rid, http.StatusServiceUnavailable, "timed out waiting for a search slot")
-			return
-		}
-	}
-	defer func() { <-s.sem }()
-	queueWait := time.Since(queueStart)
-	if fb != nil {
-		fb.Span(0, "queue", 0, fb.Now())
-	}
+	fb.Span(0, "queue", 0, fb.Now())
+	queries, method, rid := b.Queries, b.Method, b.RID
 
 	s.met.InFlight.Add(1)
-	var searchMark time.Duration
-	if fb != nil {
-		searchMark = fb.Now()
-	}
+	searchMark := fb.Now()
 	start := time.Now()
 	var results []bwtmatch.Result
 	if sharded != nil {
-		results = sharded.MapShardsContext(ctx, queries, method, s.cfg.Workers, req.Shards)
+		results = sharded.MapShardsContext(ctx, queries, method, s.cfg.Workers, b.Shards)
 	} else {
 		results = idx.MapAllContext(ctx, queries, method, s.cfg.Workers)
 	}
 	elapsed := time.Since(start)
-	if fb != nil {
-		fb.Span(0, "search", searchMark, fb.Now(),
-			obs.Arg{Key: "reads", Val: int64(len(reads))},
-			obs.Arg{Key: "shards", Val: int64(len(req.Shards))})
-	}
+	fb.Span(0, "search", searchMark, fb.Now(),
+		obs.Arg{Key: "reads", Val: int64(len(queries))},
+		obs.Arg{Key: "shards", Val: int64(len(b.Shards))})
 	s.met.InFlight.Add(-1)
 
 	resp := SearchResponse{
-		Index:   req.Index,
+		Index:   b.Index,
 		Method:  method.String(),
-		Reads:   len(reads),
+		Reads:   len(queries),
 		Results: make([]ReadResult, len(results)),
 	}
 	var leaves, steps, memo int64
@@ -683,36 +466,36 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			obs.Arg{Key: "memo_hits", Val: memo})
 		resp.Trace = []obs.Fragment{fb.Fragment()}
 	}
-	s.met.ObserveBatch(int(method), elapsed, len(reads), resp.Matches, resp.Errors, leaves, steps, memo)
-	s.slo.Observe(time.Since(arrive), true)
+	s.met.ObserveBatch(int(method), elapsed, len(queries), resp.Matches, resp.Errors, leaves, steps, memo)
+	s.slo.Observe(time.Since(b.Arrive), true)
 	frec := obs.QueryRecord{
-		Start:     arrive,
+		Start:     b.Arrive,
 		RID:       rid,
-		Index:     req.Index,
+		Index:     b.Index,
 		Method:    MethodName(method),
-		ElapsedNS: int64(time.Since(arrive)),
-		Reads:     int32(len(reads)),
+		ElapsedNS: int64(time.Since(b.Arrive)),
+		Reads:     int32(len(queries)),
 		Matches:   int32(resp.Matches),
 		Errors:    int32(resp.Errors),
 		Leaves:    leaves,
 		Steps:     steps,
 		MemoHits:  memo,
 	}
-	frec.PhaseNS[0] = int64(queueWait)
+	frec.PhaseNS[0] = int64(b.Queued)
 	frec.PhaseNS[1] = int64(elapsed)
 	s.flight.Record(&frec)
 	s.log.Info("search",
 		"rid", rid,
-		"index", req.Index,
+		"index", b.Index,
 		"method", method.String(),
-		"reads", len(reads),
+		"reads", len(queries),
 		"matches", resp.Matches,
 		"errors", resp.Errors,
 		"mtree_leaves", leaves,
 		"step_calls", steps,
 		"memo_hits", memo,
 		"elapsed_ms", resp.ElapsedMS)
-	writeJSON(w, http.StatusOK, resp)
+	pipeline.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleMetrics serves the Prometheus exposition: the server-wide
@@ -775,18 +558,4 @@ func writeRelativeMetrics(w io.Writer, bases []relBaseSeries, tenants []relTenan
 	for _, t := range tenants {
 		fmt.Fprintf(w, "km_relative_delta_corrections_total{index=%q} %d\n", t.name, t.corrections)
 	}
-}
-
-// decodeBody parses a size-capped JSON body, rejecting trailing garbage.
-func decodeBody(r *http.Request, maxBytes int64, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	// A second decode must hit EOF; anything else is trailing data.
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return errors.New("trailing data after JSON body")
-	}
-	return nil
 }

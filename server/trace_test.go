@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -100,9 +101,9 @@ func TestRequestIDEchoedOnShed(t *testing.T) {
 
 	// Draining: every new search is shed with a 503 that still echoes
 	// the rid and is visible in the flight recorder as a shed record.
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	resp, body := postRaw(t, ts.URL+"/v1/search", `{"index":"g","seq":"acgt"}`,
 		map[string]string{HeaderRequestID: "creq-shed-9"})
 	if resp.StatusCode != http.StatusServiceUnavailable {
