@@ -53,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadRoundTrip -fuzztime=10s -tags kminvariants .
 	$(GO) test -run='^$$' -fuzz=FuzzLoadShardedRoundTrip -fuzztime=10s -tags kminvariants .
 	$(GO) test -run='^$$' -fuzz=FuzzLoadRelativeRoundTrip -fuzztime=10s -tags kminvariants .
+	$(GO) test -run='^$$' -fuzz=FuzzComputePhi -fuzztime=10s -tags kminvariants ./internal/core
 
 # Observability smoke test: boots kmserved, scrapes /metrics (including
 # the km_slo_* series) and /debug/flightrecorder, and validates the

@@ -87,8 +87,11 @@ type Match struct {
 type Stats struct {
 	// MTreeLeaves is the paper's n′ (Table 2) for AlgorithmA/BWTBaseline.
 	MTreeLeaves int
-	// StepCalls counts BWT rank operations.
+	// StepCalls counts BWT rank operations of the search traversal.
 	StepCalls int
+	// PhiSteps counts the backward-search steps spent computing the
+	// φ(i) bound (AlgorithmA, BWTBaseline); StepCalls excludes them.
+	PhiSteps int
 	// MemoHits counts repeated-interval derivations (AlgorithmA).
 	MemoHits int
 	// Candidates counts verified alignments (Amir).

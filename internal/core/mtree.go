@@ -157,12 +157,12 @@ func ivKey(iv fmindex.Interval) uint64 {
 	return uint64(uint32(iv.Lo))<<32 | uint64(uint32(iv.Hi))
 }
 
-// searchMTree runs Algorithm A for one pattern. usePhi composes the φ(i)
-// bound with the derivation machinery (the production configuration);
-// disabling it reproduces the paper's unpruned Algorithm A for ablations.
-// All working memory comes from sc; a warm Scratch makes this
-// allocation-free.
-func (s *Searcher) searchMTree(sc *Scratch, pattern []byte, k int, usePhi bool, stats *Stats, tr obs.Tracer) []leaf {
+// searchMTree runs Algorithm A for one pattern. A non-nil phi (from
+// phiBound) composes the φ(i) bound with the derivation machinery (the
+// production configuration); nil reproduces the paper's unpruned
+// Algorithm A for ablations. All working memory comes from sc; a warm
+// Scratch makes this allocation-free.
+func (s *Searcher) searchMTree(sc *Scratch, pattern []byte, k int, phi []int, stats *Stats, tr obs.Tracer) []leaf {
 	sc.memo.begin()
 	sc.src.Reset(pattern)
 	a := &sc.as
@@ -176,6 +176,7 @@ func (s *Searcher) searchMTree(sc *Scratch, pattern []byte, k int, usePhi bool, 
 		runs:  sc.runs[:0],
 		brs:   sc.brs[:0],
 		out:   sc.out[:0],
+		phi:   phi,
 		stats: stats,
 		tr:    tr,
 	}
@@ -183,18 +184,7 @@ func (s *Searcher) searchMTree(sc *Scratch, pattern []byte, k int, usePhi bool, 
 		sc.runs, sc.brs, sc.out = a.runs, a.brs, a.out
 		a.s, a.r, a.src, a.memo, a.stats, a.tr = nil, nil, nil, nil, nil, nil
 	}()
-	if usePhi {
-		if tr != nil {
-			tr.Begin("phi")
-		}
-		var phiSteps int
-		a.phi, phiSteps = s.computePhi(sc, pattern)
-		if tr != nil {
-			tr.End(
-				obs.Arg{Key: "phi0", Val: int64(a.phi[0])},
-				obs.Arg{Key: "step_calls", Val: int64(phiSteps)})
-		}
-	} else {
+	if a.phi == nil {
 		sc.phi = intBuf(sc.phi, len(pattern)+1)
 		clear(sc.phi)
 		a.phi = sc.phi

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bwtmatch/internal/fmindex"
@@ -32,6 +33,189 @@ func naivePhi(text, pattern []byte) []int {
 		}
 	}
 	return phi
+}
+
+// restartPhi is the m-restart φ computation that computePhi's breakpoint
+// method replaced, kept as its reference: one MatchLen from every
+// pattern position i gives absentEnd(i), the end of the shortest absent
+// prefix of pattern[i:], and φ[i] = 1 + φ[absentEnd(i)+1].
+func restartPhi(s *Searcher, sc *Scratch, pattern []byte) ([]int, int) {
+	m := len(pattern)
+	steps := 0
+	absentEnd := make([]int, m)
+	for i := range absentEnd {
+		matched, st := s.idx.MatchLen(pattern[i:])
+		steps += st
+		absentEnd[i] = i + matched // pattern[i..i+matched] is absent (== m: none)
+	}
+	sc.phi = intBuf(sc.phi, m+1)
+	phi := sc.phi
+	phi[m] = 0
+	for i := m - 1; i >= 0; i-- {
+		if absentEnd[i] >= m {
+			phi[i] = 0
+		} else {
+			phi[i] = 1 + phi[absentEnd[i]+1]
+		}
+	}
+	return phi, steps
+}
+
+// phiCase is one target of TestPhiMatchesRestart: a Searcher, its text,
+// and patterns to compare on, of which the first len(planted) are the
+// planted reads that feed the step-count pin.
+type phiCase struct {
+	name     string
+	s        *Searcher
+	text     []byte
+	planted  [][]byte
+	patterns [][]byte
+}
+
+// plant copies text[pos:pos+m] and substitutes d distinct positions with
+// a different base, so the window is an occurrence with exactly d
+// mismatches.
+func plant(rng *rand.Rand, text []byte, pos, m, d int) []byte {
+	p := append([]byte(nil), text[pos:pos+m]...)
+	for _, q := range rng.Perm(m)[:min(d, m)] {
+		p[q] = 1 + (p[q]+byte(rng.Intn(3)))%4
+	}
+	return p
+}
+
+// homopolymerRanks returns n bases as runs of one base, 1–30 long.
+func homopolymerRanks(rng *rand.Rand, n int) []byte {
+	out := make([]byte, 0, n)
+	for len(out) < n {
+		b := byte(1 + rng.Intn(4))
+		for r := 1 + rng.Intn(30); r > 0 && len(out) < n; r-- {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+func reverseRanks(text []byte) []byte {
+	rev := slices.Clone(text)
+	slices.Reverse(rev)
+	return rev
+}
+
+func phiCases(t *testing.T, rng *rand.Rand) []phiCase {
+	t.Helper()
+	searcher := func(text []byte) *Searcher {
+		s, err := NewSearcher(text, fmindex.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	random := randomRanks(rng, 4096)
+	noT := make([]byte, 4096) // T never occurs, so any T is an absent substring
+	for i := range noT {
+		noT[i] = byte(1 + rng.Intn(3))
+	}
+	// A tenant 1% away from a base, served through the delta bridge.
+	tenant := slices.Clone(random)
+	for _, q := range rng.Perm(len(tenant))[:len(tenant)/100] {
+		tenant[q] = 1 + tenant[q]%4
+	}
+	base, err := fmindex.Build(reverseRanks(random), fmindex.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tidx, err := fmindex.Build(reverseRanks(tenant), fmindex.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := fmindex.MakeRelative(base, tidx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	homo := homopolymerRanks(rng, 4096)
+	short := randomRanks(rng, 40)
+
+	cases := []phiCase{
+		{name: "random", s: searcher(random), text: random},
+		{name: "homopolymer", s: searcher(homo), text: homo},
+		{name: "no-T", s: searcher(noT), text: noT},
+		{name: "relative", s: NewSearcherFromIndex(rel, len(tenant)), text: tenant},
+		{name: "short", s: searcher(short), text: short},
+	}
+	for i := range cases {
+		c := &cases[i]
+		n := len(c.text)
+		for q := 0; q < 8 && n > 100; q++ {
+			m := 30 + rng.Intn(70)
+			c.planted = append(c.planted, plant(rng, c.text, rng.Intn(n-m), m, rng.Intn(5)))
+		}
+		c.patterns = append(c.patterns, c.planted...)
+		for q := 0; q < 4; q++ {
+			c.patterns = append(c.patterns, randomRanks(rng, 1+rng.Intn(40)))
+		}
+		for b := byte(1); b <= 4; b++ {
+			c.patterns = append(c.patterns, []byte{b}) // m = 1
+		}
+		c.patterns = append(c.patterns, randomRanks(rng, n+1+rng.Intn(20))) // longer than the text
+	}
+	return cases
+}
+
+// TestPhiMatchesRestart pins the breakpoint computation to the restart
+// reference: the same φ array, and therefore the same matches and the
+// same search work for both φ-pruned methods, on monolithic and relative
+// indexes. On planted reads it must also spend at most a third of the
+// reference's steps.
+func TestPhiMatchesRestart(t *testing.T) {
+	rng := rand.New(rand.NewSource(84))
+	sc, ref := NewScratch(), NewScratch()
+	plantedSteps, plantedRef := 0, 0
+	for _, c := range phiCases(t, rng) {
+		for i, p := range c.patterns {
+			got, steps := c.s.computePhi(sc, p)
+			want, refSteps := restartPhi(c.s, ref, p)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: phi %v, restart %v (pattern %v)", c.name, got, want, p)
+			}
+			if i < len(c.planted) {
+				plantedSteps += steps
+				plantedRef += refSteps
+			}
+			// A pattern much shorter than k matches nearly everywhere, so
+			// its search is all locate work; search short ones at k = 0.
+			kmax := 5
+			if len(p) < 12 {
+				kmax = 0
+			}
+			for _, method := range []Method{MethodMTree, MethodSTreePhi} {
+				for k := 0; k <= kmax; k++ {
+					gotM, gotSt, err := c.s.FindScratch(sc, nil, p, k, method, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantM, wantSt, err := c.s.find(ref, nil, p, k, method, nil, restartPhi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(gotM, wantM) {
+						t.Fatalf("%s %v k=%d: matches %v, restart %v", c.name, method, k, gotM, wantM)
+					}
+					if len(p) <= c.s.N() && gotSt.PhiSteps != steps {
+						t.Fatalf("%s %v k=%d: Stats.PhiSteps %d, computePhi spent %d", c.name, method, k, gotSt.PhiSteps, steps)
+					}
+					gotSt.LocateNS, wantSt.LocateNS = 0, 0
+					gotSt.PhiSteps, wantSt.PhiSteps = 0, 0
+					if gotSt != wantSt {
+						t.Fatalf("%s %v k=%d: stats %+v, restart %+v", c.name, method, k, gotSt, wantSt)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("planted reads: %d phi steps, restart %d", plantedSteps, plantedRef)
+	if plantedRef == 0 || 3*plantedSteps > plantedRef {
+		t.Fatalf("planted reads: %d phi steps, want at most a third of restart's %d", plantedSteps, plantedRef)
+	}
 }
 
 func TestComputePhiAgainstNaive(t *testing.T) {
@@ -167,4 +351,48 @@ func intsToBytes(in []int) []byte {
 		out[i] = byte(v)
 	}
 	return out
+}
+
+// fuzzRanks maps fuzzer bytes onto bases: a, c, g, t (either case) keep
+// their meaning and any other byte b becomes base 1 + b%4.
+func fuzzRanks(in []byte, limit int) []byte {
+	out := make([]byte, min(len(in), limit))
+	for i := range out {
+		switch in[i] | 0x20 {
+		case 'a':
+			out[i] = 1
+		case 'c':
+			out[i] = 2
+		case 'g':
+			out[i] = 3
+		case 't':
+			out[i] = 4
+		default:
+			out[i] = 1 + in[i]%4
+		}
+	}
+	return out
+}
+
+// FuzzComputePhi checks the breakpoint computation against φ's
+// definition (naivePhi) on arbitrary text/pattern pairs.
+func FuzzComputePhi(f *testing.F) {
+	f.Add([]byte("acagaca"), []byte("tcaca")) // §IV-A example
+	f.Add([]byte("acagaca"), []byte("acagacat"))
+	f.Add([]byte("aaaaaaaaaaaaaaaaaaaa"), []byte("aaataaaacaaaagaaaa"))
+	f.Add([]byte("acgtacgtacgtacgt"), []byte("t"))
+	f.Fuzz(func(t *testing.T, rawText, rawPattern []byte) {
+		text, pattern := fuzzRanks(rawText, 512), fuzzRanks(rawPattern, 64)
+		if len(text) == 0 {
+			return
+		}
+		s, err := NewSearcher(text, fmindex.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := s.computePhi(NewScratch(), pattern)
+		if want := naivePhi(text, pattern); !slices.Equal(got, want) {
+			t.Fatalf("phi %v, want %v (text %v, pattern %v)", got, want, text, pattern)
+		}
+	})
 }

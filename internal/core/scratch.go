@@ -8,7 +8,7 @@ import (
 )
 
 // Scratch is the reusable per-search working set: the M-tree run and
-// branch arenas, the interval memo, the φ buffers, the S-tree stack, the
+// branch arenas, the interval memo, the φ buffer, the S-tree stack, the
 // leaf list and the locate buffer. A warm Scratch lets FindScratch run
 // without any heap allocation (DESIGN.md §8), which is where the map
 // memo and the fresh per-query slices of the original implementation
@@ -24,7 +24,6 @@ type Scratch struct {
 	brs    []mbranch
 	out    []leaf
 	phi    []int
-	absent []int
 	frames []frame
 	locBuf []int32
 	src    mismatch.IterSource

@@ -85,6 +85,9 @@ type Stats struct {
 	LiveFallbacks int
 	// PhiPruned counts branches cut by the φ(i) heuristic.
 	PhiPruned int
+	// PhiSteps is the number of backward-search steps spent computing
+	// the φ(i) bound; StepCalls does not include them.
+	PhiSteps int
 	// LocateNS is the wall time spent resolving surviving leaves to text
 	// positions (the SA-sample LF walks), separated from the traversal so
 	// occ-path improvements are not masked by locate cost in benchmarks.
@@ -155,6 +158,12 @@ func (s *Searcher) FindTraced(pattern []byte, k int, method Method, tr obs.Trace
 // every fresh multi-row expansion. A nil tr follows the exact untraced
 // code path.
 func (s *Searcher) FindScratch(sc *Scratch, dst []Match, pattern []byte, k int, method Method, tr obs.Tracer) ([]Match, Stats, error) {
+	return s.find(sc, dst, pattern, k, method, tr, (*Searcher).computePhi)
+}
+
+// find is FindScratch with the φ computation supplied by the caller, so
+// tests can run the search over a reference φ.
+func (s *Searcher) find(sc *Scratch, dst []Match, pattern []byte, k int, method Method, tr obs.Tracer, phiOf phiFunc) ([]Match, Stats, error) {
 	// The counters live in sc so that taking their address (the M-tree
 	// search stores it in the heap-resident asearch) does not force a
 	// heap allocation of a stack-local Stats on every call.
@@ -181,13 +190,13 @@ func (s *Searcher) FindScratch(sc *Scratch, dst []Match, pattern []byte, k int, 
 	var leaves []leaf
 	switch method {
 	case MethodSTree:
-		leaves = s.searchSTree(sc, pattern, k, false, stats, tr)
+		leaves = s.searchSTree(sc, pattern, k, nil, stats, tr)
 	case MethodSTreePhi:
-		leaves = s.searchSTree(sc, pattern, k, true, stats, tr)
+		leaves = s.searchSTree(sc, pattern, k, s.phiBound(sc, pattern, phiOf, stats, tr), stats, tr)
 	case MethodMTree:
-		leaves = s.searchMTree(sc, pattern, k, true, stats, tr)
+		leaves = s.searchMTree(sc, pattern, k, s.phiBound(sc, pattern, phiOf, stats, tr), stats, tr)
 	case MethodMTreeNoPhi:
-		leaves = s.searchMTree(sc, pattern, k, false, stats, tr)
+		leaves = s.searchMTree(sc, pattern, k, nil, stats, tr)
 	default:
 		if tr != nil {
 			tr.End()
@@ -248,7 +257,7 @@ func (s *Searcher) CountLeaves(pattern []byte, k int) (Stats, error) {
 		return stats, nil
 	}
 	sc := scratchPool.Get().(*Scratch)
-	s.searchMTree(sc, pattern, k, true, &stats, nil)
+	s.searchMTree(sc, pattern, k, s.phiBound(sc, pattern, (*Searcher).computePhi, &stats, nil), &stats, nil)
 	scratchPool.Put(sc)
 	return stats, nil
 }

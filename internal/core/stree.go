@@ -9,26 +9,12 @@ import (
 // searchSTree is the brute-force S-tree traversal of [34] (§IV-A): a DFS
 // over ⟨x, [α, β]⟩ pairs, branching into all four bases at every level and
 // charging one mismatch whenever the consumed base differs from the
-// pattern character at that level. When usePhi is set, the φ(i) heuristic
-// prunes branches that provably cannot finish within budget. A non-nil tr
-// receives a phi span plus one EvLeaf per maximal path, matching
-// Stats.MTreeLeaves exactly as in the M-tree search.
-func (s *Searcher) searchSTree(sc *Scratch, pattern []byte, k int, usePhi bool, stats *Stats, tr obs.Tracer) []leaf {
+// pattern character at that level. A non-nil phi (from phiBound) prunes
+// branches that provably cannot finish within budget. A non-nil tr
+// receives one EvLeaf per maximal path, matching Stats.MTreeLeaves
+// exactly as in the M-tree search.
+func (s *Searcher) searchSTree(sc *Scratch, pattern []byte, k int, phi []int, stats *Stats, tr obs.Tracer) []leaf {
 	m := len(pattern)
-	var phi []int
-	if usePhi {
-		if tr != nil {
-			tr.Begin("phi")
-		}
-		var phiSteps int
-		phi, phiSteps = s.computePhi(sc, pattern)
-		if tr != nil {
-			tr.End(
-				obs.Arg{Key: "phi0", Val: int64(phi[0])},
-				obs.Arg{Key: "step_calls", Val: int64(phiSteps)})
-		}
-	}
-
 	stack := append(sc.frames[:0], frame{iv: s.idx.Full()})
 	leaves := sc.out[:0]
 	defer func() { sc.frames, sc.out = stack, leaves }()
@@ -62,7 +48,7 @@ func (s *Searcher) searchSTree(sc *Scratch, pattern []byte, k int, usePhi bool, 
 					continue
 				}
 			}
-			if usePhi && e+phi[f.j+1] > k {
+			if phi != nil && e+phi[f.j+1] > k {
 				stats.PhiPruned++
 				continue
 			}
@@ -80,37 +66,83 @@ func (s *Searcher) searchSTree(sc *Scratch, pattern []byte, k int, usePhi bool, 
 	return leaves
 }
 
+// phiFunc computes the φ array of a pattern and the backward-search
+// steps it spent; computePhi is the only production implementation.
+type phiFunc func(s *Searcher, sc *Scratch, pattern []byte) ([]int, int)
+
+// phiBound runs phiOf inside a traced "phi" span and bills its steps to
+// Stats.PhiSteps (not StepCalls, which counts traversal work only).
+func (s *Searcher) phiBound(sc *Scratch, pattern []byte, phiOf phiFunc, stats *Stats, tr obs.Tracer) []int {
+	if tr != nil {
+		tr.Begin("phi")
+	}
+	phi, steps := phiOf(s, sc, pattern)
+	stats.PhiSteps = steps
+	if tr != nil {
+		tr.End(
+			obs.Arg{Key: "phi0", Val: int64(phi[0])},
+			obs.Arg{Key: "step_calls", Val: int64(steps)})
+	}
+	return phi
+}
+
 // computePhi returns φ where φ[i] (0-based, φ[m] = 0) is the number of
 // consecutive, disjoint substrings of pattern[i:] that do not occur in the
-// target (§IV-A). Each absent substring forces at least one mismatch, so a
-// branch with e mismatches spent at position i is hopeless if e + φ[i] > k.
-// The second result is the number of backward-search steps spent on the
-// occurrence tests (reported in the traced phi span; not part of
-// Stats.StepCalls, which counts only traversal work).
+// target (§IV-A), taking the shortest absent prefix each time. Each absent
+// substring forces at least one mismatch, so a branch with e mismatches
+// spent at position i is hopeless if e + φ[i] > k. The second result is
+// the number of backward-search steps spent on occurrence tests.
 //
-// absentEnd[i] = the smallest q such that pattern[i..q] is absent from the
-// target (or m if no prefix of pattern[i:] is absent). Occurrence tests are
-// forward extensions of the pattern, which on the reverse-text index are
-// plain backward-search steps.
+// φ is non-increasing and drops by at most one per position, so it is
+// fully described by its breakpoints t₁ > t₂ > …: t₁ is the largest i
+// with pattern[i:] absent and t_{v+1} the largest i with pattern[i:t_v]
+// absent; φ is v on (t_{v+1}, t_v]. "pattern[i:hi] is absent" is monotone
+// in i and costs one MatchLen (a forward extension of the pattern, which
+// on the reverse-text index is a run of backward-search steps), so each
+// breakpoint is found by galloping left from hi (distances 1, 2, 4, …)
+// and bisecting the last gap. With ℓ the typical length of a shortest
+// absent substring, that is about φ[0]+1 searches of O(ℓ log ℓ) steps,
+// instead of m walks of about ℓ steps each (one per start position).
 func (s *Searcher) computePhi(sc *Scratch, pattern []byte) ([]int, int) {
 	m := len(pattern)
-	steps := 0
-	sc.absent = intBuf(sc.absent, m)
-	absentEnd := sc.absent
-	for i := 0; i < m; i++ {
-		matched, st := s.idx.MatchLen(pattern[i:])
-		steps += st
-		absentEnd[i] = i + matched // pattern[i..i+matched] is absent (== m: none)
-	}
 	sc.phi = intBuf(sc.phi, m+1)
 	phi := sc.phi
-	phi[m] = 0
-	for i := m - 1; i >= 0; i-- {
-		if absentEnd[i] >= m {
-			phi[i] = 0
-		} else {
-			phi[i] = 1 + phi[absentEnd[i]+1]
-		}
+	steps := 0
+	absent := func(i, hi int) bool {
+		matched, st := s.idx.MatchLen(pattern[i:hi])
+		steps += st
+		return matched < hi-i
 	}
-	return phi, steps
+	for v, hi := 0, m; ; v++ {
+		// Gallop: pattern[lo:hi] absent, pattern[present:hi] present.
+		lo, present := -1, hi
+		for d := 1; lo < 0 && present > 0; d *= 2 {
+			if i := max(hi-d, 0); absent(i, hi) {
+				lo = i
+			} else {
+				present = i
+			}
+		}
+		if lo < 0 {
+			// pattern[:hi] occurs: no further breakpoint.
+			fillInts(phi[:hi+1], v)
+			return phi, steps
+		}
+		for present-lo > 1 {
+			if mid := (lo + present) / 2; absent(mid, hi) {
+				lo = mid
+			} else {
+				present = mid
+			}
+		}
+		fillInts(phi[lo+1:hi+1], v)
+		hi = lo
+	}
+}
+
+// fillInts sets every element of buf to v.
+func fillInts(buf []int, v int) {
+	for i := range buf {
+		buf[i] = v
+	}
 }

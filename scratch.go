@@ -71,6 +71,7 @@ func (x *Index) SearchMethodScratch(sc *Scratch, dst []Match, pattern []byte, k 
 func (st *Stats) fromCore(cs core.Stats) {
 	st.MTreeLeaves = cs.MTreeLeaves
 	st.StepCalls = cs.StepCalls
+	st.PhiSteps = cs.PhiSteps
 	st.MemoHits = cs.MemoHits
 	st.LocateNS = cs.LocateNS
 }
@@ -80,6 +81,7 @@ func (st *Stats) fromCore(cs core.Stats) {
 func (st *Stats) add(o Stats) {
 	st.MTreeLeaves += o.MTreeLeaves
 	st.StepCalls += o.StepCalls
+	st.PhiSteps += o.PhiSteps
 	st.MemoHits += o.MemoHits
 	st.Candidates += o.Candidates
 	st.Visited += o.Visited

@@ -68,6 +68,12 @@ func TestTracerEventCountsMatchStats(t *testing.T) {
 			if got := rec.CountKind(obs.EvMerge); got != stats.MemoHits {
 				t.Errorf("%v trial %d: %d EvMerge events, Stats.MemoHits = %d", method, trial, got, stats.MemoHits)
 			}
+			if got := phiSpanSteps(rec); got != int64(stats.PhiSteps) {
+				t.Errorf("%v trial %d: phi span step_calls = %d, Stats.PhiSteps = %d", method, trial, got, stats.PhiSteps)
+			}
+			if usesPhi := method == bwtmatch.AlgorithmA || method == bwtmatch.BWTBaseline; usesPhi != (stats.PhiSteps > 0) {
+				t.Errorf("%v trial %d: Stats.PhiSteps = %d", method, trial, stats.PhiSteps)
+			}
 			if b, e := rec.CountKind(obs.EvBegin), rec.CountKind(obs.EvEnd); b != e {
 				t.Errorf("%v trial %d: unbalanced spans: %d begins, %d ends", method, trial, b, e)
 			}
@@ -91,6 +97,22 @@ func TestTracerEventCountsMatchStats(t *testing.T) {
 	if !sawMemoHit {
 		t.Error("no trial exercised the merge path (MemoHits stayed 0); grow the repeat structure")
 	}
+}
+
+// phiSpanSteps totals the step_calls argument of the recorded phi spans.
+func phiSpanSteps(rec *obs.Recorder) int64 {
+	var total int64
+	for _, e := range rec.Events() {
+		if e.Kind != obs.EvEnd || e.Name != "phi" {
+			continue
+		}
+		for _, a := range e.Args {
+			if a.Key == "step_calls" {
+				total += a.Val
+			}
+		}
+	}
+	return total
 }
 
 // TestTraceChromeExport checks a recorded search renders as loadable
